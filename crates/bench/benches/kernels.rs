@@ -4,7 +4,7 @@
 //! performed) mirrors the operator-count reductions of the paper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gnnopt_core::{compile, CompileOptions, ExecPolicy, GemmKernel, Preset};
+use gnnopt_core::{compile, CompileOptions, ExecPolicy, Preset};
 use gnnopt_exec::{Bindings, EnvOverrides, Session};
 use gnnopt_graph::{generators, Graph};
 use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
@@ -139,7 +139,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sess = Session::builder(&compiled.plan, &graph)
                         .policy(ExecPolicy::with_threads(threads))
-                        .env(EnvOverrides::Ignore)
+                        .env(EnvOverrides::Off)
                         .build()
                         .expect("session");
                     let out = sess.forward(&bindings).expect("forward");
@@ -236,7 +236,7 @@ fn bench_reordered_exec(c: &mut Criterion) {
 /// so the ratio is the microkernel's, not the pool's; results are
 /// bit-identical, only time differs.
 fn bench_gemm_blocked(c: &mut Criterion) {
-    use gnnopt_tensor::gemm::{gemm, Layout};
+    use gnnopt_tensor::gemm::{gemm, GemmKernel, Layout};
     let mut group = c.benchmark_group("gemm_blocked");
     for (label, layout, m, k, n) in [
         ("nn_256x256x256", Layout::Nn, 256usize, 256usize, 256usize),
@@ -265,51 +265,10 @@ fn bench_gemm_blocked(c: &mut Criterion) {
     group.finish();
 }
 
-/// A full GAT training step under each GEMM engine (same compiled plan,
-/// same threads): the end-to-end wall-clock side of the compute-engine
-/// swap. Outputs and gradients are bit-identical across the two rows.
-fn bench_gat_step_blocked(c: &mut Criterion) {
-    let graph = Graph::from_edge_list(&generators::rmat(13, 16, 0.57, 0.19, 0.19, 5));
-    let spec = gat(&GatConfig {
-        in_dim: 32,
-        layers: vec![(2, 16)],
-        negative_slope: 0.2,
-        reorganized: true,
-    })
-    .expect("gat builds");
-    let bindings = bindings_for(&spec, &graph, 7);
-    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
-
-    let mut group = c.benchmark_group("gat_step_blocked");
-    for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-        // Session prebuilt outside the timed loop (the build cost is
-        // engine-independent and would only compress the ratio).
-        let policy = ExecPolicy::auto().with_gemm(kernel);
-        let mut sess = Session::builder(&compiled.plan, &graph)
-            .policy(policy)
-            .fused(true)
-            .env(EnvOverrides::Off)
-            .build()
-            .expect("session");
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{kernel:?}")),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    let out = sess.forward(&bindings).expect("forward");
-                    sess.backward(Tensor::ones(out[0].shape()))
-                        .expect("backward")
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_presets, bench_reorg, bench_monet, bench_thread_scaling, bench_fused_exec,
-        bench_reordered_exec, bench_gemm_blocked, bench_gat_step_blocked
+        bench_reordered_exec, bench_gemm_blocked
 }
 criterion_main!(benches);

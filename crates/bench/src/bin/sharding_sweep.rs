@@ -105,7 +105,7 @@ struct Pr8StepRow {
     threads: usize,
 }
 
-/// The PR 8 workload: the `compute_engine_workloads` GCN.
+/// GCN 64-64-32: the model of the GCN rows in `BENCH_PR8.json`.
 fn model() -> ModelSpec {
     gcn(&GcnConfig {
         in_dim: 64,

@@ -5,14 +5,13 @@
 //! recorded results).
 
 use gnnopt_core::ir::Result as IrResult;
-use gnnopt_core::{compile, CompileOptions, ExecPolicy, GemmKernel, IrGraph, ReorderPolicy};
+use gnnopt_core::{compile, CompileOptions, ExecPolicy, IrGraph, ReorderPolicy};
 use gnnopt_exec::{Bindings, RunStats, Session};
 use gnnopt_graph::datasets::DatasetSpec;
-use gnnopt_graph::{generators, EdgeList, Graph, GraphStats};
-use gnnopt_models::{
-    edgeconv, gat, gcn, monet, EdgeConvConfig, GatConfig, GcnConfig, ModelSpec, MonetConfig,
-};
+use gnnopt_graph::{EdgeList, Graph, GraphStats};
+use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, ModelSpec, MonetConfig};
 use gnnopt_sim::{Device, ExecStats};
+use gnnopt_tensor::gemm::GemmKernel;
 use serde::Serialize;
 
 /// True when `GNNOPT_SMOKE=1`: every figure/ablation binary shrinks its
@@ -182,111 +181,11 @@ pub fn run_real_reordered(
     run_real_impl(spec, graph, &opts, threads, training, seed, Some(fused))
 }
 
-/// Like [`run_real_fused`], but additionally pinning the session's dense
-/// GEMM engine: the naive-vs-blocked measurement probe behind the
-/// compute-engine figure. Results are bit-identical across engines, so
-/// the comparison measures time only.
-///
-/// # Errors
-///
-/// Propagates IR/compile errors.
-///
-/// # Panics
-///
-/// Panics if the compiled plan fails to execute (a harness bug, not a
-/// measurement outcome).
-#[allow(clippy::too_many_arguments)]
-pub fn run_real_gemm(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    fused: bool,
-    gemm: GemmKernel,
-) -> IrResult<RunStats> {
-    run_real_gemm_arena(
-        spec, graph, opts, threads, training, seed, fused, gemm, None,
-    )
-}
-
-/// Like [`run_real_gemm`], but additionally pinning the session's static
-/// arena allocator (`None` keeps the default: on): the arena-on vs
-/// arena-off measurement probe behind the memory-planner snapshot.
-///
-/// # Errors
-///
-/// Propagates IR/compile errors.
-///
-/// # Panics
-///
-/// Panics if the compiled plan fails to execute (a harness bug, not a
-/// measurement outcome).
-#[allow(clippy::too_many_arguments)]
-pub fn run_real_gemm_arena(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    fused: bool,
-    gemm: GemmKernel,
-    arena: Option<bool>,
-) -> IrResult<RunStats> {
-    let opts = CompileOptions {
-        exec: opts.exec.with_gemm(gemm),
-        ..*opts
-    };
-    run_real_impl2(
-        spec,
-        graph,
-        &opts,
-        threads,
-        training,
-        seed,
-        Some(fused),
-        arena,
-    )
-}
-
-/// The `[Naive, Blocked]` measurement order every compute-engine harness
-/// and caller shares: the `measure_*` helpers return arrays positionally
-/// aligned with this constant, so labeling loops iterate it instead of
-/// re-declaring the order locally (a locally swapped order would silently
-/// invert every reported speedup).
+/// The `[Naive, Blocked]` order [`measure_gemm_single_thread`] returns
+/// its figures in, so labeling loops iterate it instead of re-declaring
+/// the order locally (a locally swapped order would silently invert
+/// every reported speedup).
 pub const GEMM_KERNELS: [GemmKernel; 2] = [GemmKernel::Naive, GemmKernel::Blocked];
-
-/// The compute-engine measurement workload shared by `fig7_end2end`'s
-/// measured section and `perf_snapshot` — one definition, so the printed
-/// figure and the committed `BENCH_PR5.json` artifact can never drift
-/// onto different configurations. Returns the RMAT scale (16, or 8 in
-/// smoke), the graph, and the GAT/GCN specs at feature widths where the
-/// combination phase carries real arithmetic (64 in, 2×32 heads /
-/// 64→64→32): the configuration the paper's compute-bound
-/// characterization of GEMM-heavy layers speaks to.
-///
-/// # Panics
-///
-/// Panics if a model spec fails to build (a harness bug).
-pub fn compute_engine_workloads() -> (u32, Graph, Vec<(&'static str, ModelSpec)>) {
-    let scale = smoke_scale(16u32, 8);
-    let graph = Graph::from_edge_list(&generators::rmat(scale, 16, 0.57, 0.19, 0.19, 7));
-    let gat_spec = gat(&GatConfig {
-        in_dim: 64,
-        layers: vec![(2, 32)],
-        negative_slope: 0.2,
-        reorganized: true,
-    })
-    .expect("gat builds");
-    let gcn_spec = gcn(&GcnConfig {
-        in_dim: 64,
-        layer_dims: vec![64, 32],
-    })
-    .expect("gcn builds");
-    (scale, graph, vec![("GAT", gat_spec), ("GCN", gcn_spec)])
-}
 
 /// Measured single-thread dense GFLOP/s for `[Naive, Blocked]` at `d³`,
 /// through the low-level engine entry with the worker count pinned to 1
@@ -317,85 +216,6 @@ pub fn measure_gemm_single_thread(d: usize, reps: u32) -> [f64; 2] {
     best.map(|secs| 2.0 * (d * d * d) as f64 / secs / 1e9)
 }
 
-/// Measured real training steps for `[Naive, Blocked]` on the fused
-/// executor with auto threads: warm both engines, then interleave
-/// repetitions (naive, blocked, naive, …) and keep each engine's fastest
-/// run (same one-sided-noise argument as
-/// [`measure_gemm_single_thread`]).
-///
-/// # Panics
-///
-/// Panics if the model fails to compile or execute (a harness bug, not a
-/// measurement outcome).
-pub fn measure_steps_interleaved(spec: &ModelSpec, graph: &Graph, reps: usize) -> [RunStats; 2] {
-    measure_steps_interleaved_threads(spec, graph, reps, 0)
-}
-
-/// [`measure_steps_interleaved`] with the worker-pool size pinned
-/// (`threads = 0` auto-detects, like the plain variant).
-pub fn measure_steps_interleaved_threads(
-    spec: &ModelSpec,
-    graph: &Graph,
-    reps: usize,
-    threads: usize,
-) -> [RunStats; 2] {
-    measure_steps_interleaved_arena(spec, graph, reps, threads, None)
-}
-
-/// [`measure_steps_interleaved_threads`] with the session's static arena
-/// additionally pinned (`None` = session default: on) — the probe behind
-/// the memory-planner snapshot's arena-on vs arena-off step rows.
-///
-/// # Panics
-///
-/// Panics if the model fails to compile or execute (a harness bug, not a
-/// measurement outcome).
-pub fn measure_steps_interleaved_arena(
-    spec: &ModelSpec,
-    graph: &Graph,
-    reps: usize,
-    threads: usize,
-    arena: Option<bool>,
-) -> [RunStats; 2] {
-    let kernels = GEMM_KERNELS;
-    for kernel in kernels {
-        run_real_gemm_arena(
-            spec,
-            graph,
-            &CompileOptions::ours(),
-            threads,
-            true,
-            11,
-            true,
-            kernel,
-            arena,
-        )
-        .expect("warmup runs");
-    }
-    let mut best: [Option<RunStats>; 2] = [None, None];
-    for _ in 0..reps {
-        for (slot, kernel) in kernels.into_iter().enumerate() {
-            let run = run_real_gemm_arena(
-                spec,
-                graph,
-                &CompileOptions::ours(),
-                threads,
-                true,
-                11,
-                true,
-                kernel,
-                arena,
-            )
-            .expect("measured run");
-            let wall = run.forward_seconds + run.backward_seconds;
-            if best[slot].is_none_or(|b| wall < b.forward_seconds + b.backward_seconds) {
-                best[slot] = Some(run);
-            }
-        }
-    }
-    best.map(|run| run.expect("at least one rep per engine"))
-}
-
 /// Shared body of [`run_real`] / [`run_real_fused`]. `fused: None` keeps
 /// the plan's own fused-execution default (and the `GNNOPT_FUSED`
 /// override); `Some(f)` pins it.
@@ -408,25 +228,9 @@ fn run_real_impl(
     seed: u64,
     fused: Option<bool>,
 ) -> IrResult<RunStats> {
-    run_real_impl2(spec, graph, opts, threads, training, seed, fused, None)
-}
-
-/// [`run_real_impl`] plus an optional arena pin (`None` = session
-/// default: arena on).
-#[allow(clippy::too_many_arguments)]
-fn run_real_impl2(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    fused: Option<bool>,
-    arena: Option<bool>,
-) -> IrResult<RunStats> {
     // The explicit thread count is compiled into the plan, so the session
     // adopts it as-is (no auto-detection, no GNNOPT_THREADS interference);
-    // the policy's other knobs (tiling, grouping, reordering) ride along.
+    // the policy's other knobs (tiling, reordering) ride along.
     let opts = CompileOptions {
         exec: ExecPolicy {
             threads,
@@ -442,9 +246,6 @@ fn run_real_impl2(
     let mut builder = Session::builder(&compiled.plan, graph);
     if let Some(f) = fused {
         builder = builder.fused(f).env(gnnopt_exec::EnvOverrides::Off);
-    }
-    if let Some(a) = arena {
-        builder = builder.arena(a);
     }
     let mut sess = builder.build().expect("session builds");
     let out = sess.forward(&bindings).expect("forward runs");

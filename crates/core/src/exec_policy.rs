@@ -17,15 +17,6 @@
 //! and inverse-permutes user-facing outputs on the way out, so reordering
 //! is invisible to callers except through its locality effect (and the
 //! `GNNOPT_REORDER` environment override, see `gnnopt-exec`).
-//!
-//! Since PR 5 the policy also selects the dense compute engine: a
-//! [`GemmKernel`] (re-exported from `gnnopt_tensor::gemm`) choosing
-//! between the register-tiled blocked GEMM and the naive reference loops
-//! for every `Linear`-family kernel the session runs. Both produce
-//! bit-identical results; the `GNNOPT_GEMM` environment variable
-//! overrides the choice per process (see `gnnopt-exec`).
-
-pub use gnnopt_tensor::gemm::GemmKernel;
 
 /// Vertex-reordering strategy the executor applies to the graph at
 /// session build time (runtime preprocessing, §8 related work).
@@ -108,22 +99,9 @@ pub struct ExecPolicy {
     /// scratch tighter; the value never affects results, which are
     /// bit-identical to the reference path for any tiling.
     pub tile_edges: usize,
-    /// Bind fused-interpreter workers to bounded-size **edge groups**
-    /// (the destination tiles, each holding at most [`Self::tile_edges`]
-    /// edges) instead of raw tile counts: worker boundaries are cut so
-    /// every worker owns roughly the same number of *edges*, the
-    /// GNNAdvisor neighbor-grouping discipline that flattens degree skew
-    /// on power-law graphs. Purely a scheduling choice — workers still
-    /// write disjoint contiguous row chunks, so results are bit-identical
-    /// either way.
-    pub group_workers: bool,
     /// Vertex-reordering preprocessing applied at session build (see
     /// [`ReorderPolicy`]); overridable per process with `GNNOPT_REORDER`.
     pub reorder: ReorderPolicy,
-    /// Dense GEMM engine for the `Linear`-family kernels (blocked by
-    /// default; results are bit-identical either way). Overridable per
-    /// process with `GNNOPT_GEMM=naive|blocked`.
-    pub gemm: GemmKernel,
     /// Run the fused tiled interpreter instead of the node-by-node
     /// reference executor. Compiled into the plan by the presets (`Ours`
     /// enables it) and overridable per process with `GNNOPT_FUSED` or per
@@ -175,9 +153,7 @@ impl ExecPolicy {
             threads: 0,
             parallel_threshold: Self::DEFAULT_PARALLEL_THRESHOLD,
             tile_edges: Self::DEFAULT_TILE_EDGES,
-            group_workers: false,
             reorder: ReorderPolicy::None,
-            gemm: GemmKernel::default(),
             fused: false,
             heavy_row_degree: Self::DEFAULT_HEAVY_ROW_DEGREE,
             guard: false,
@@ -203,20 +179,6 @@ impl ExecPolicy {
     /// The same policy with a vertex-reordering strategy.
     pub fn reordered(self, reorder: ReorderPolicy) -> Self {
         Self { reorder, ..self }
-    }
-
-    /// The same policy with grouped worker binding in the fused
-    /// interpreter (edge-balanced worker boundaries over the tiles).
-    pub fn grouped(self) -> Self {
-        Self {
-            group_workers: true,
-            ..self
-        }
-    }
-
-    /// The same policy with an explicit dense GEMM engine.
-    pub fn with_gemm(self, gemm: GemmKernel) -> Self {
-        Self { gemm, ..self }
     }
 
     /// The same policy with the fused tiled interpreter toggled.
@@ -292,15 +254,12 @@ mod tests {
         assert!(!ExecPolicy::serial().is_auto());
         assert!(ExecPolicy::default().is_auto());
         assert_eq!(ExecPolicy::default().reorder, ReorderPolicy::None);
-        assert!(!ExecPolicy::default().group_workers);
     }
 
     #[test]
     fn builders_compose() {
         let p = ExecPolicy::with_threads(2)
             .reordered(ReorderPolicy::Rcm)
-            .grouped()
-            .with_gemm(GemmKernel::Naive)
             .with_fused(true)
             .with_heavy_row_degree(64)
             .with_guard(true);
@@ -308,15 +267,11 @@ mod tests {
         assert!(p.guard);
         assert!(!ExecPolicy::auto().guard, "guard defaults off");
         assert_eq!(p.reorder, ReorderPolicy::Rcm);
-        assert!(p.group_workers);
-        assert_eq!(p.gemm, GemmKernel::Naive);
         assert!(p.fused);
         assert_eq!(p.heavy_row_degree, 64);
         // `resolved` preserves the new knobs.
         let r = p.resolved(|| 8);
         assert_eq!(r.reorder, ReorderPolicy::Rcm);
-        assert!(r.group_workers);
-        assert_eq!(r.gemm, GemmKernel::Naive);
         assert!(r.fused);
         assert_eq!(r.heavy_row_degree, 64);
     }
@@ -327,12 +282,6 @@ mod tests {
         assert!(!p.fused);
         assert_eq!(p.heavy_row_degree, ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE);
         assert!(ExecPolicy::HEAVY_ROW_CHUNK_EDGES.is_power_of_two());
-    }
-
-    #[test]
-    fn default_gemm_engine_is_blocked() {
-        assert_eq!(ExecPolicy::auto().gemm, GemmKernel::Blocked);
-        assert_eq!(ExecPolicy::serial().gemm, GemmKernel::Blocked);
     }
 
     #[test]

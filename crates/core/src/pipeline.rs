@@ -48,7 +48,7 @@ pub struct CompileOptions {
     /// CPU execution policy for the compiled plan: thread width, fused
     /// tiled interpretation (`ExecPolicy::fused` — on for
     /// [`Preset::Ours`], overridable per run with `GNNOPT_FUSED=0|1`),
-    /// reordering, GEMM engine and the CSR dispatch thresholds.
+    /// reordering and the CSR dispatch thresholds.
     pub exec: ExecPolicy,
 }
 

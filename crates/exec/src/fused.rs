@@ -49,8 +49,7 @@
 //! footprint is reported as `RunStats::scratch_bytes`.
 
 use crate::kernels::{
-    chunk_bounds, plan_threads, reduce_row_mean, reduce_row_sum, split_rows, vertex_bounds,
-    NO_ARGMAX,
+    chunk_bounds, plan_threads, reduce_row_mean, reduce_row_sum, split_rows, NO_ARGMAX,
 };
 use crate::{contain, ExecError, Result};
 use gnnopt_core::lower::{KernelProgram, StepExec, Storage};
@@ -621,7 +620,7 @@ fn run_streamed_gather(
     if threads < 2 || total == 0 {
         run(0..n, out.as_mut_slice());
     } else {
-        let bounds = vertex_bounds(policy, adj.indptr(), threads);
+        let bounds = chunk_bounds(n, threads);
         let chunks = split_rows(out.as_mut_slice(), total, &bounds);
         let wg = contain::WorkerGuard::new();
         std::thread::scope(|s| {
@@ -634,46 +633,6 @@ fn run_streamed_gather(
         wg.rethrow();
     }
     out
-}
-
-/// Cuts worker boundaries over the tile sequence so every worker owns
-/// roughly the same number of **edges** (each tile being a bounded edge
-/// group of at most `tile_edges` edges, GNNAdvisor's neighbor-grouping
-/// discipline). This is the `ExecPolicy::group_workers` alternative to
-/// the tile-count split of [`chunk_bounds`]: on skewed graphs the worker
-/// that owns a hub's tile gets correspondingly fewer other tiles, so the
-/// per-worker edge load flattens. Returns `workers + 1` strictly
-/// increasing boundaries covering every tile; the binding never changes
-/// results (workers still write disjoint contiguous row chunks).
-pub(crate) fn edge_balanced_bounds(
-    tiles: &[usize],
-    indptr: &[usize],
-    threads: usize,
-) -> Vec<usize> {
-    let num_tiles = tiles.len().saturating_sub(1);
-    let workers = threads.clamp(1, num_tiles.max(1));
-    let total = if num_tiles == 0 {
-        0
-    } else {
-        indptr[tiles[num_tiles]]
-    };
-    if total == 0 {
-        return chunk_bounds(num_tiles, workers);
-    }
-    let mut bounds = vec![0usize];
-    for w in 1..workers {
-        let target = (total as u64 * w as u64).div_ceil(workers as u64) as usize;
-        let prev = *bounds.last().expect("bounds is non-empty");
-        let mut t = prev + 1;
-        while t < num_tiles && indptr[tiles[t]] < target {
-            t += 1;
-        }
-        // Leave at least one tile for each remaining worker (workers ≤
-        // num_tiles makes the clamp range non-empty).
-        bounds.push(t.clamp(prev + 1, num_tiles - (workers - w)));
-    }
-    bounds.push(num_tiles);
-    bounds
 }
 
 /// Cuts destination-vertex tile boundaries so each tile covers at most
@@ -875,11 +834,6 @@ pub(crate) fn run_program(
     // elided from the tiled segments below and recomputed per edge
     // inside the gather's own scan (see `plan_streams`).
     let streams = plan_streams(&steps, program, ir, aux_softmax);
-    if std::env::var_os("GNNOPT_PROFILE").is_some() {
-        for (si, c) in &streams {
-            eprintln!("  STREAM gather step {si}: chain {:?}", c.order);
-        }
-    }
     let elided: HashSet<usize> = streams
         .values()
         .flat_map(|c| c.order.iter().copied())
@@ -1023,14 +977,8 @@ pub(crate) fn run_program(
     } else {
         policy.threads.clamp(1, num_tiles.max(1))
     };
-    // Worker → tile boundaries: split by tile count, or — under
-    // `group_workers` — by edge count, binding workers to bounded edge
-    // groups so degree skew flattens (never affects results).
-    let wt = if policy.group_workers {
-        edge_balanced_bounds(&tiles, indptr, threads)
-    } else {
-        chunk_bounds(num_tiles, threads)
-    };
+    // Worker → tile boundaries: contiguous runs of tiles.
+    let wt = chunk_bounds(num_tiles, threads);
     let wv: Vec<usize> = wt.iter().map(|&t| tiles[t]).collect();
     let we: Vec<usize> = wv.iter().map(|&v| indptr[v]).collect();
     let workers = wt.len() - 1;
@@ -1800,7 +1748,7 @@ fn node_input_dim(sp: &StepPlan, idx: usize) -> Dim {
 
 #[cfg(test)]
 mod tests {
-    use super::{edge_balanced_bounds, tile_bounds};
+    use super::tile_bounds;
 
     #[test]
     fn tile_bounds_respect_edge_budget_and_cover_all_vertices() {
@@ -1837,41 +1785,5 @@ mod tests {
         let indptr = [0usize, 1, 8, 9];
         let b = tile_bounds(&indptr, 4);
         assert_eq!(b, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn edge_balanced_bounds_flatten_a_hub() {
-        // 8 single-vertex tiles; vertex 0 holds 70 of the 77 edges. A
-        // tile-count split over 2 workers gives worker 0 the hub *and*
-        // three more tiles; the edge-balanced split hands everything but
-        // the hub to worker 1.
-        let indptr = [0usize, 70, 71, 72, 73, 74, 75, 76, 77];
-        let tiles: Vec<usize> = (0..=8).collect();
-        let b = edge_balanced_bounds(&tiles, &indptr, 2);
-        assert_eq!(b, vec![0, 1, 8]);
-        // Per-worker edge loads are within one tile of balance for any
-        // worker count, and the bounds always cover every tile strictly
-        // monotonically.
-        for threads in 1..=8 {
-            let b = edge_balanced_bounds(&tiles, &indptr, threads);
-            assert_eq!(*b.first().unwrap(), 0);
-            assert_eq!(*b.last().unwrap(), 8);
-            assert!(b.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
-        }
-    }
-
-    #[test]
-    fn edge_balanced_bounds_degenerate_inputs() {
-        // No tiles at all.
-        assert_eq!(edge_balanced_bounds(&[0], &[0], 4), vec![0]);
-        // Tiles but zero edges: falls back to the tile-count split.
-        let tiles = [0usize, 1, 2, 3];
-        let b = edge_balanced_bounds(&tiles, &[0, 0, 0, 0], 2);
-        assert_eq!(*b.first().unwrap(), 0);
-        assert_eq!(*b.last().unwrap(), 3);
-        // More workers than tiles clamps to one tile per worker.
-        let indptr = [0usize, 2, 4];
-        let b = edge_balanced_bounds(&[0, 1, 2], &indptr, 16);
-        assert_eq!(b, vec![0, 1, 2]);
     }
 }

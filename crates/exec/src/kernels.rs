@@ -25,11 +25,6 @@
 //!   backward) split the CSR vertex range; because canonical edge ids are
 //!   destination-major, each vertex range also owns a *contiguous* block
 //!   of edge rows, so `ByDst` edge-space outputs split without atomics.
-//!   When [`ExecPolicy::group_workers`] is set, the vertex boundaries are
-//!   cut **edge-balanced** (each worker owns roughly the same number of
-//!   edges — the fused interpreter's GNNAdvisor-style discipline,
-//!   promoted here in PR 6) instead of vertex-count-balanced; either
-//!   split is data-disjoint, so the choice never affects results.
 //! * **`BySrc` gathers** stream: a source row's edges are scattered
 //!   through the destination-major edge tensor, but `out_adj` lists them
 //!   in ascending canonical id, so one ascending scan of *all* edges
@@ -46,8 +41,7 @@
 //!   [`gather_max_bwd`] (each output element is written by at most one
 //!   edge, so the inverted edge partition cannot race), [`edge_softmax`],
 //!   [`edge_softmax_from_aux`] and [`edge_softmax_bwd`]. Chunk
-//!   boundaries depend only on `(rows, threads)` (or `(indptr,
-//!   threads)` for the edge-balanced split) and no floating-point
+//!   boundaries depend only on `(rows, threads)` and no floating-point
 //!   reduction crosses a worker boundary.
 //! * **Fixed reassociation, thread-count invariant**: the cross-row
 //!   parameter reductions [`head_dot_bwd_param`], [`gaussian_bwd_mu`]
@@ -123,46 +117,6 @@ pub(crate) fn chunk_bounds(rows: usize, threads: usize) -> Vec<usize> {
 /// order. The grid depends only on the row count — never on the thread
 /// count — so results are invariant across worker widths.
 pub const PARAM_REDUCE_CHUNK_ROWS: usize = 1 << 14;
-
-/// Deterministic *edge-balanced* vertex boundaries: each of up to
-/// `threads` parts owns roughly the same number of edges (`indptr` is the
-/// CSR row pointer of the grouping adjacency). The reference-kernel
-/// promotion of the fused interpreter's `group_workers` split — a pure
-/// function of `(indptr, threads)`, and purely a scheduling choice since
-/// parts stay data-disjoint.
-pub(crate) fn edge_balanced_vertex_bounds(indptr: &[usize], threads: usize) -> Vec<usize> {
-    let n = indptr.len() - 1;
-    let workers = threads.clamp(1, n.max(1));
-    let total = indptr[n];
-    if total == 0 || workers < 2 {
-        return chunk_bounds(n, workers);
-    }
-    let mut bounds = vec![0usize];
-    for w in 1..workers {
-        let target = (total as u64 * w as u64).div_ceil(workers as u64) as usize;
-        let prev = *bounds.last().expect("bounds is non-empty");
-        let mut v = prev + 1;
-        while v < n && indptr[v] < target {
-            v += 1;
-        }
-        // Leave at least one vertex for each remaining worker.
-        bounds.push(v.clamp(prev + 1, n - (workers - w)));
-    }
-    bounds.push(n);
-    bounds
-}
-
-/// Vertex-partition boundaries for a grouped kernel under `policy`:
-/// edge-balanced when [`ExecPolicy::group_workers`] is set, vertex-count
-/// `div_ceil` otherwise. Both are pure functions of their inputs and
-/// never affect results.
-pub(crate) fn vertex_bounds(policy: &ExecPolicy, indptr: &[usize], threads: usize) -> Vec<usize> {
-    if policy.group_workers {
-        edge_balanced_vertex_bounds(indptr, threads)
-    } else {
-        chunk_bounds(indptr.len() - 1, threads)
-    }
-}
 
 /// Reduces one destination row over its edge id list with `Sum`
 /// semantics: `o[c] += Σ_e row(e)[c]`, accumulated in list order. Rows
@@ -324,7 +278,7 @@ where
         return;
     }
     let indptr = g.in_adj().indptr();
-    let bounds = vertex_bounds(policy, indptr, threads);
+    let bounds = chunk_bounds(n, threads);
     let ebounds: Vec<usize> = bounds.iter().map(|&v| indptr[v]).collect();
     let chunks = split_rows(out, cols, &ebounds);
     let wg = contain::WorkerGuard::new();
@@ -524,7 +478,7 @@ pub fn gather(
     if threads < 2 || total == 0 {
         run(0..n, out.as_mut_slice());
     } else {
-        let bounds = vertex_bounds(policy, adj.indptr(), threads);
+        let bounds = chunk_bounds(n, threads);
         let chunks = split_rows(out.as_mut_slice(), total, &bounds);
         let wg = contain::WorkerGuard::new();
         std::thread::scope(|s| {
@@ -784,7 +738,7 @@ pub fn edge_softmax(policy: &ExecPolicy, g: &Graph, x: &Tensor) -> (Tensor, Tens
             y.as_mut_slice(),
         );
     } else {
-        let bounds = vertex_bounds(policy, indptr, threads);
+        let bounds = chunk_bounds(n, threads);
         let ebounds: Vec<usize> = bounds.iter().map(|&v| indptr[v]).collect();
         let m_chunks = split_rows(maxes.as_mut_slice(), total, &bounds);
         let d_chunks = split_rows(denom.as_mut_slice(), total, &bounds);

@@ -15,24 +15,21 @@
 //!
 //! # Constructing sessions
 //!
-//! [`Session::builder`] is the documented construction path: it makes
-//! the execution policy, the fused-execution choice and the treatment of
-//! the `GNNOPT_*` environment overrides ([`EnvOverrides`]) explicit. The
-//! pre-builder constructors ([`Session::new`], [`Session::with_policy`],
-//! [`Session::with_policy_fused`]) are **deprecated** thin shims kept
-//! with their historical semantics; see the [`session`](Session) module
-//! docs for the migration table.
+//! [`Session::builder`] is the one construction path: it makes the
+//! execution policy, the fused-execution choice, the arena and the
+//! treatment of the `GNNOPT_*` environment overrides ([`EnvOverrides`])
+//! explicit.
 //!
 //! # Thread-parallel backend and the sparse kernel engine
 //!
 //! Kernels run under an [`gnnopt_core::ExecPolicy`] carried by the
 //! compiled plan (`CompileOptions::exec`) or pinned per session via the
-//! builder. Gather-style kernels partition the CSR vertex range
-//! (edge-balanced under `ExecPolicy::group_workers`, plain vertex counts
-//! otherwise) and scatter/elementwise/head kernels partition output
-//! rows across `std::thread::scope` workers — the same pattern (and the
-//! same pool size, via `gnnopt_tensor::parallel`) as `Tensor::matmul`.
-//! Row-wise inner loops dispatch to AVX2-widened bodies at runtime when
+//! builder. Gather-style kernels partition the CSR vertex range and
+//! scatter/elementwise/head kernels partition output rows across
+//! `std::thread::scope` workers — the same pattern (and the same pool
+//! size, via `gnnopt_tensor::parallel`) as `Tensor::matmul`. Every
+//! `Linear`-family kernel runs the blocked GEMM of `gnnopt_tensor::gemm`;
+//! its naive loops are only a test oracle. Row-wise inner loops dispatch to AVX2-widened bodies at runtime when
 //! the host supports them (`GNNOPT_ROWOPS=scalar` pins the scalar path;
 //! both produce the same bits — see `gnnopt_tensor::rowops`).
 //!
@@ -68,8 +65,8 @@
 //! # Runtime reordering
 //!
 //! When the policy carries a [`gnnopt_core::ReorderPolicy`] other than
-//! `None` (or `GNNOPT_REORDER=<strategy|0>` overrides it in
-//! [`Session::new`]), the session applies a `gnnopt-reorder` vertex
+//! `None` (or `GNNOPT_REORDER=<strategy|0>` overrides it under
+//! [`EnvOverrides::Loud`]), the session applies a `gnnopt-reorder` vertex
 //! relabeling to the CSR graph **once at build time** and runs every
 //! kernel on the relabeled graph: vertex/edge-space bindings are
 //! permuted in, user-facing outputs and gradients are inverse-permuted
@@ -79,10 +76,7 @@
 //! ordering; backward `BySrc` reductions re-associate, so parameter
 //! gradients agree up to floating-point rounding. The one-time cost is
 //! reported as [`RunStats::reorder_seconds`] alongside the resolved
-//! strategy ([`RunStats::reorder`]). The fused interpreter can
-//! additionally bind its workers to bounded edge groups
-//! (`ExecPolicy::group_workers`), flattening degree skew without
-//! changing results.
+//! strategy ([`RunStats::reorder`]).
 //!
 //! ```no_run
 //! use gnnopt_core::{compile, CompileOptions};

@@ -123,17 +123,12 @@ fn exec_op_inner(
             }
         }
 
-        // GEMMs run under the caller's resolved policy: its engine choice
-        // *and* its worker cap (a session pinned serial keeps its
-        // weight-gradient GEMMs serial, whatever GNNOPT_THREADS or the
-        // hardware says).
-        OpKind::Linear => inputs[0].matmul_with_threads(inputs[1], pol.gemm, pol.threads)?,
-        OpKind::LinearBwdInput => {
-            inputs[0].matmul_nt_with_threads(inputs[1], pol.gemm, pol.threads)?
-        }
-        OpKind::LinearBwdWeight => {
-            inputs[0].matmul_tn_with_threads(inputs[1], pol.gemm, pol.threads)?
-        }
+        // GEMMs run under the caller's resolved worker cap (a session
+        // pinned serial keeps its weight-gradient GEMMs serial, whatever
+        // GNNOPT_THREADS or the hardware says).
+        OpKind::Linear => inputs[0].matmul_with_threads(inputs[1], pol.threads)?,
+        OpKind::LinearBwdInput => inputs[0].matmul_nt_with_threads(inputs[1], pol.threads)?,
+        OpKind::LinearBwdWeight => inputs[0].matmul_tn_with_threads(inputs[1], pol.threads)?,
 
         OpKind::Unary(f) => kernels::unary(pol, *f, inputs[0]),
         OpKind::UnaryBwd(f) => kernels::unary_bwd(pol, *f, inputs[0], inputs[1]),

@@ -2,38 +2,21 @@
 //!
 //! # Constructing sessions
 //!
-//! [`SessionBuilder`] (via [`Session::builder`]) is the one documented
-//! construction path. It makes every choice the old constructors took
-//! implicitly an explicit knob:
+//! [`SessionBuilder`] (via [`Session::builder`]) is the one construction
+//! path. Every choice is an explicit knob with a documented default:
 //!
 //! ```ignore
 //! let mut sess = Session::builder(&plan, &graph)
-//!     .policy(policy)            // default: the plan's own ExecPolicy
-//!     .fused(true)               // default: policy.fused, or the env
-//!     .env(EnvOverrides::Ignore) // default: Loud
+//!     .policy(policy)         // default: the plan's own ExecPolicy
+//!     .fused(true)            // default: GNNOPT_FUSED, else policy.fused
+//!     .env(EnvOverrides::Off) // default: Loud
 //!     .build()?;
 //! ```
 //!
 //! The `GNNOPT_*` environment overrides (`THREADS`, `FUSED`, `REORDER`,
-//! `GEMM`) are consulted according to the builder's [`EnvOverrides`]
-//! mode: `Loud` errors on an invalid value, `Ignore` skips invalid
-//! values silently, `Off` consults none of them.
-//!
-//! ## Migrating from the old constructors
-//!
-//! The pre-builder constructors are **deprecated** thin shims that
-//! delegate to the builder; new code must call the builder directly:
-//!
-//! | old call | builder equivalent |
-//! |---|---|
-//! | `Session::new(p, g)` | `Session::builder(p, g).build()` |
-//! | `Session::with_policy(p, g, pol)` | `.policy(pol).fused(env or plan).env(Off).build()` |
-//! | `Session::with_policy_fused(p, g, pol, f)` | `.policy(pol).fused(f).env(Off).build()` |
-//!
-//! (`with_policy` historically consulted *only* the `GNNOPT_FUSED`
-//! override, leniently — its shim reproduces exactly that, nothing
-//! more.) The free-floating `fused: bool` of the old API now lives in
-//! [`ExecPolicy::fused`]; `CompileOptions::fused_exec` is gone.
+//! `ARENA`, `GUARD`, `FAILPOINTS`) are consulted according to the
+//! builder's [`EnvOverrides`] mode: `Loud` applies them and errors on an
+//! invalid value, `Off` consults none of them.
 
 use crate::{contain, fused, kernels, refexec};
 use crate::{ExecError, Result};
@@ -147,30 +130,16 @@ enum State {
     ForwardDone,
 }
 
-/// Parses the `GNNOPT_FUSED` override: `Ok(None)` when unset,
-/// `Ok(Some(_))` on `0`/`1` (and the usual boolean spellings), `Err` on
-/// anything else.
-pub(crate) fn fused_env() -> std::result::Result<Option<bool>, String> {
-    match std::env::var("GNNOPT_FUSED") {
+/// Parses a boolean `GNNOPT_*` override (`GNNOPT_FUSED`,
+/// `GNNOPT_ARENA`, `GNNOPT_GUARD`): `Ok(None)` when unset, `Ok(Some(_))`
+/// on `0`/`1` (and the usual boolean spellings), `Err` on anything else.
+fn bool_env(name: &str) -> std::result::Result<Option<bool>, String> {
+    match std::env::var(name) {
         Err(_) => Ok(None),
         Ok(s) => match s.trim() {
             "0" | "false" | "off" => Ok(Some(false)),
             "1" | "true" | "on" => Ok(Some(true)),
-            other => Err(format!("GNNOPT_FUSED must be 0 or 1, got '{other}'")),
-        },
-    }
-}
-
-/// Parses the `GNNOPT_ARENA` override: `Ok(None)` when unset,
-/// `Ok(Some(_))` on `0`/`1` (and the usual boolean spellings), `Err` on
-/// anything else.
-pub(crate) fn arena_env() -> std::result::Result<Option<bool>, String> {
-    match std::env::var("GNNOPT_ARENA") {
-        Err(_) => Ok(None),
-        Ok(s) => match s.trim() {
-            "0" | "false" | "off" => Ok(Some(false)),
-            "1" | "true" | "on" => Ok(Some(true)),
-            other => Err(format!("GNNOPT_ARENA must be 0 or 1, got '{other}'")),
+            other => Err(format!("{name} must be 0 or 1, got '{other}'")),
         },
     }
 }
@@ -178,7 +147,7 @@ pub(crate) fn arena_env() -> std::result::Result<Option<bool>, String> {
 /// Parses the `GNNOPT_REORDER` override: `Ok(None)` when unset,
 /// `Ok(Some(_))` on a valid strategy spelling (`0`/`none`, `degree`,
 /// `bfs`, `rcm`, `cluster`, `auto`), `Err` on anything else.
-pub(crate) fn reorder_env() -> std::result::Result<Option<ReorderPolicy>, String> {
+fn reorder_env() -> std::result::Result<Option<ReorderPolicy>, String> {
     match std::env::var("GNNOPT_REORDER") {
         Err(_) => Ok(None),
         Ok(s) => ReorderPolicy::parse(&s)
@@ -187,24 +156,37 @@ pub(crate) fn reorder_env() -> std::result::Result<Option<ReorderPolicy>, String
     }
 }
 
-/// Reads the `GNNOPT_GEMM` override (`naive`/`blocked`): `Ok(None)` when
-/// unset, `Err` on an unknown kernel name.
-pub(crate) fn gemm_env() -> std::result::Result<Option<gnnopt_core::GemmKernel>, String> {
-    gnnopt_core::GemmKernel::env()
-}
-
-/// Parses the `GNNOPT_GUARD` override (per-kernel non-finite output
-/// scanning): `Ok(None)` when unset, `Ok(Some(_))` on `0`/`1` (and the
-/// usual boolean spellings), `Err` on anything else.
-pub(crate) fn guard_env() -> std::result::Result<Option<bool>, String> {
-    match std::env::var("GNNOPT_GUARD") {
-        Err(_) => Ok(None),
-        Ok(s) => match s.trim() {
-            "0" | "false" | "off" => Ok(Some(false)),
-            "1" | "true" | "on" => Ok(Some(true)),
-            other => Err(format!("GNNOPT_GUARD must be 0 or 1, got '{other}'")),
-        },
+/// Resolves the `GNNOPT_*` overrides for a builder under `env`: folds
+/// `GNNOPT_REORDER` and `GNNOPT_GUARD` into `policy`, installs any
+/// `GNNOPT_FAILPOINTS` plan, and returns the `GNNOPT_FUSED` and
+/// `GNNOPT_ARENA` values for the builder's own precedence. Shared by
+/// [`SessionBuilder`] and the sharded builder.
+///
+/// # Errors
+///
+/// [`ExecError::Policy`] on the first invalid override.
+pub(crate) fn apply_env(
+    policy: &mut ExecPolicy,
+    env: EnvOverrides,
+) -> Result<(Option<bool>, Option<bool>)> {
+    if env == EnvOverrides::Off {
+        return Ok((None, None));
     }
+    if policy.is_auto() {
+        // Surface a bad thread override loudly instead of silently
+        // falling back like the infallible tensor-side detection.
+        gnnopt_tensor::parallel::env_threads().map_err(ExecError::Policy)?;
+    }
+    let fused = bool_env("GNNOPT_FUSED").map_err(ExecError::Policy)?;
+    let arena = bool_env("GNNOPT_ARENA").map_err(ExecError::Policy)?;
+    if let Some(r) = reorder_env().map_err(ExecError::Policy)? {
+        policy.reorder = r;
+    }
+    if let Some(g) = bool_env("GNNOPT_GUARD").map_err(ExecError::Policy)? {
+        policy.guard = g;
+    }
+    fault::install_from_env().map_err(ExecError::Policy)?;
+    Ok((fused, arena))
 }
 
 /// Scans one kernel output for the numeric guard: finds the first
@@ -355,7 +337,7 @@ impl GraphSource<'_> {
 /// # Runtime reordering
 ///
 /// When the policy carries a [`ReorderPolicy`] other than `None` (or
-/// `GNNOPT_REORDER` overrides it in [`Session::new`]), the session
+/// `GNNOPT_REORDER` overrides it under [`EnvOverrides::Loud`]), the session
 /// permutes the CSR graph **once at build time** and runs every kernel on
 /// the relabeled graph; vertex- and edge-space bindings are permuted on
 /// the way in and user-facing outputs inverse-permuted on the way out, so
@@ -439,26 +421,23 @@ pub struct Session<'a> {
 }
 
 /// How a [`SessionBuilder`] treats the `GNNOPT_*` environment overrides
-/// (`GNNOPT_THREADS`, `GNNOPT_FUSED`, `GNNOPT_REORDER`, `GNNOPT_GEMM`).
+/// (`GNNOPT_THREADS`, `GNNOPT_FUSED`, `GNNOPT_REORDER`, `GNNOPT_ARENA`,
+/// `GNNOPT_GUARD`, `GNNOPT_FAILPOINTS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnvOverrides {
     /// Apply the overrides; an invalid value is a build error
-    /// ([`ExecError::Policy`]). The [`Session::new`] behaviour.
+    /// ([`ExecError::Policy`]).
     #[default]
     Loud,
-    /// Apply the overrides; an invalid value is skipped silently and the
-    /// builder's own setting stands.
-    Ignore,
     /// Consult no overrides: the builder's policy and fused choice run
     /// verbatim. (Thread *auto-detection* still honours `GNNOPT_THREADS`
     /// leniently, as it always has — pin `threads` to escape that too.)
     Off,
 }
 
-/// Builds a [`Session`] with every implicit choice of the old
-/// constructors made explicit: the [`ExecPolicy`], the fused-execution
-/// flag, and how the `GNNOPT_*` environment overrides apply. See the
-/// [module docs](self) for the migration table.
+/// Builds a [`Session`] with every choice explicit: the [`ExecPolicy`],
+/// the fused-execution flag, the arena, and how the `GNNOPT_*`
+/// environment overrides apply (see the [module docs](self)).
 #[derive(Debug)]
 pub struct SessionBuilder<'a> {
     plan: &'a ExecutionPlan,
@@ -521,44 +500,11 @@ impl<'a> SessionBuilder<'a> {
     /// integer, `GNNOPT_FUSED`, `GNNOPT_ARENA` or `GNNOPT_GUARD` to
     /// something other than `0`/`1`, `GNNOPT_REORDER` to something
     /// other than a known strategy (`0`/`none`, `degree`, `bfs`, `rcm`,
-    /// `cluster`, `auto`), `GNNOPT_GEMM` to something other than
-    /// `naive`/`blocked`, or `GNNOPT_FAILPOINTS` to an unparseable
+    /// `cluster`, `auto`), or `GNNOPT_FAILPOINTS` to an unparseable
     /// failpoint spec.
     pub fn build(self) -> Result<Session<'a>> {
         let mut policy = self.policy.unwrap_or(self.plan.exec);
-        let mut env_fused = None;
-        let mut env_arena = None;
-        if self.env != EnvOverrides::Off {
-            // One resolution path for both modes: `Loud` surfaces an
-            // invalid override as a build error, `Ignore` lets the
-            // builder's own setting stand.
-            let loud = self.env == EnvOverrides::Loud;
-            fn apply<T>(
-                r: std::result::Result<Option<T>, String>,
-                loud: bool,
-            ) -> Result<Option<T>> {
-                match r {
-                    Ok(v) => Ok(v),
-                    Err(e) if loud => Err(ExecError::Policy(e)),
-                    Err(_) => Ok(None),
-                }
-            }
-            if loud && policy.is_auto() {
-                // Surface a bad env override loudly instead of silently
-                // falling back like the infallible tensor-side detection.
-                gnnopt_tensor::parallel::env_threads().map_err(ExecError::Policy)?;
-            }
-            env_fused = apply(fused_env(), loud)?;
-            env_arena = apply(arena_env(), loud)?;
-            policy.reorder = apply(reorder_env(), loud)?.unwrap_or(policy.reorder);
-            policy.gemm = apply(gemm_env(), loud)?.unwrap_or(policy.gemm);
-            policy.guard = apply(guard_env(), loud)?.unwrap_or(policy.guard);
-            match fault::install_from_env() {
-                Ok(_) => {}
-                Err(e) if loud => return Err(ExecError::Policy(e)),
-                Err(_) => {}
-            }
-        }
+        let (env_fused, env_arena) = apply_env(&mut policy, self.env)?;
         self.graph.validate().map_err(ExecError::Graph)?;
         let fused = self.fused.or(env_fused).unwrap_or(policy.fused);
         policy.fused = fused;
@@ -574,7 +520,7 @@ impl<'a> SessionBuilder<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// Starts a [`SessionBuilder`] — the documented construction path.
+    /// Starts a [`SessionBuilder`], the one construction path.
     /// Defaults: the plan's own policy, fused per `GNNOPT_FUSED` else
     /// [`ExecPolicy::fused`], and [`EnvOverrides::Loud`].
     pub fn builder(plan: &'a ExecutionPlan, graph: &'a Graph) -> SessionBuilder<'a> {
@@ -586,95 +532,6 @@ impl<'a> Session<'a> {
             arena: None,
             env: EnvOverrides::default(),
         }
-    }
-
-    /// Prepares a session running under the plan's own [`ExecPolicy`]
-    /// (from `CompileOptions::exec`), validating that leaf names are
-    /// unique. An `auto` policy resolves against the shared pool-size
-    /// detection in `gnnopt_tensor::parallel`, which honours the
-    /// `GNNOPT_THREADS` environment override.
-    ///
-    /// Shim for `Session::builder(plan, graph).build()` — prefer the
-    /// builder in new code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Protocol`] on duplicate leaf names, or
-    /// [`ExecError::Policy`] when `GNNOPT_THREADS` is set to something
-    /// other than a positive integer, `GNNOPT_FUSED` to something other
-    /// than `0`/`1`, `GNNOPT_REORDER` to something other than a known
-    /// strategy (`0`/`none`, `degree`, `bfs`, `rcm`, `cluster`, `auto`),
-    /// or `GNNOPT_GEMM` to something other than `naive`/`blocked`.
-    #[deprecated(note = "use `Session::builder(plan, graph).build()`")]
-    pub fn new(plan: &'a ExecutionPlan, graph: &'a Graph) -> Result<Self> {
-        Self::builder(plan, graph).build()
-    }
-
-    /// Prepares a session under an explicit policy instead of the plan's
-    /// own. A nonzero `threads` is used verbatim — independent of any
-    /// `GNNOPT_THREADS` override — which is how serial-vs-parallel
-    /// comparisons pin the backend. `threads = 0` still auto-detects
-    /// (and auto-detection honours `GNNOPT_THREADS`, falling back to
-    /// hardware parallelism on an invalid value; use [`Session::new`]
-    /// for the loud-error behaviour).
-    ///
-    /// Shim preserved for compatibility — prefer the builder in new
-    /// code. Historically this consulted *only* the `GNNOPT_FUSED`
-    /// override (leniently, defaulting to the plan's fused choice), so
-    /// the shim pins exactly that:
-    /// `.policy(policy).fused(env or plan).env(Off)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Protocol`] on duplicate leaf names.
-    #[deprecated(
-        note = "use `Session::builder(..).policy(..).env(EnvOverrides::Off).build()`; \
-                pin `.fused(..)` explicitly if the lenient GNNOPT_FUSED read matters"
-    )]
-    pub fn with_policy(
-        plan: &'a ExecutionPlan,
-        graph: &'a Graph,
-        policy: ExecPolicy,
-    ) -> Result<Self> {
-        // Lenient env handling (mirrors the thread auto-detection):
-        // an invalid GNNOPT_FUSED falls back to the plan's default.
-        let fused = fused_env().ok().flatten().unwrap_or(plan.exec.fused);
-        Self::builder(plan, graph)
-            .policy(policy)
-            .fused(fused)
-            .env(EnvOverrides::Off)
-            .build()
-    }
-
-    /// Prepares a session with both the policy *and* the fused-execution
-    /// choice pinned explicitly — independent of the plan's defaults and
-    /// of any `GNNOPT_FUSED`/`GNNOPT_THREADS`/`GNNOPT_REORDER`/
-    /// `GNNOPT_GEMM` override (the policy's own [`ExecPolicy::reorder`]
-    /// and [`ExecPolicy::gemm`] fields are honoured verbatim). This is
-    /// how fused-vs-reference, reordered-vs-identity and
-    /// naive-vs-blocked-GEMM comparisons pin both sides.
-    ///
-    /// Shim for
-    /// `Session::builder(..).policy(policy).fused(fused).env(Off).build()`
-    /// — prefer the builder in new code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Protocol`] on duplicate leaf names.
-    #[deprecated(
-        note = "use `Session::builder(..).policy(..).fused(..).env(EnvOverrides::Off).build()`"
-    )]
-    pub fn with_policy_fused(
-        plan: &'a ExecutionPlan,
-        graph: &'a Graph,
-        policy: ExecPolicy,
-        fused: bool,
-    ) -> Result<Self> {
-        Self::builder(plan, graph)
-            .policy(policy)
-            .fused(fused)
-            .env(EnvOverrides::Off)
-            .build()
     }
 
     /// The shared construction tail: leaf-name validation, liveness
@@ -949,8 +806,13 @@ impl<'a> Session<'a> {
     /// Returns binding errors, or [`ExecError::ValueNotLive`] if the plan's
     /// memory discipline is inconsistent.
     pub fn forward(&mut self, bindings: &Bindings) -> Result<Vec<Tensor>> {
-        let _scope = self.scope();
-        self.run_forward(bindings)?;
+        {
+            let _scope = self.scope();
+            self.run_forward(bindings)?;
+        }
+        // The returned clones are taken outside the pool scope: the
+        // caller drops them outside it too, so clones drawn from the pool
+        // would never come back and the next step's takes would miss.
         self.plan
             .ir
             .outputs()
@@ -1049,8 +911,15 @@ impl<'a> Session<'a> {
     /// Returns [`ExecError::Protocol`] unless called right after
     /// [`Session::forward`] on a training plan.
     pub fn backward(&mut self, seed: Tensor) -> Result<HashMap<String, Tensor>> {
-        let _scope = self.scope();
-        self.run_backward(seed)?;
+        {
+            let _scope = self.scope();
+            // Run on a pooled copy of the seed: the caller's heap buffer
+            // would otherwise join the pool when the store drops it, and
+            // the pool would grow by one seed every step. The caller's
+            // tensor drops outside the scope, back to the heap.
+            self.run_backward(seed.clone())?;
+        }
+        // Gradient clones come from the heap, as in `forward`.
         let mut grads = HashMap::new();
         for &(p, g) in &self.plan.param_grads {
             let name = self.plan.ir.node(p).name.clone();
@@ -1284,13 +1153,12 @@ impl<'a> Session<'a> {
     }
 
     pub(crate) fn exec_kernel(&mut self, kid: usize, backward: bool) -> Result<()> {
-        let t = Instant::now();
         // Containment boundary: a panicking worker (or a panic on this
         // thread inside a kernel body) surfaces as a typed error instead
         // of aborting the step, and poisons the session — the store may
         // hold partial results, but the pool stays consistent because
         // every scoped worker joined before the panic re-raised.
-        let r = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.exec_kernel_inner(kid, backward)
         })) {
             Ok(r) => r,
@@ -1300,21 +1168,7 @@ impl<'a> Session<'a> {
                 self.poisoned = Some(format!("kernel '{kernel}' panicked: {payload}"));
                 Err(ExecError::KernelPanic { kernel, payload })
             }
-        };
-        if std::env::var_os("GNNOPT_PROFILE").is_some() {
-            let names: Vec<&str> = self.plan.kernels[kid]
-                .nodes
-                .iter()
-                .map(|&n| self.plan.ir.node(n).name.as_str())
-                .collect();
-            eprintln!(
-                "PROF {} kid={kid} {:.1}ms [{}]",
-                if backward { "bwd" } else { "fwd" },
-                t.elapsed().as_secs_f64() * 1e3,
-                names.join("+")
-            );
         }
-        r
     }
 
     fn exec_kernel_inner(&mut self, kid: usize, backward: bool) -> Result<()> {

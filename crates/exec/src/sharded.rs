@@ -61,10 +61,7 @@
 //! [`EnvOverrides`] mode), then `1`. A count of `1` builds a plain
 //! [`Session`] — no partitioning, no maps, no overhead.
 
-use crate::session::{
-    arena_env, fused_env, gemm_env, guard_env, reorder_env, scan_nonfinite, Bindings, EnvOverrides,
-    RunStats, Session,
-};
+use crate::session::{apply_env, scan_nonfinite, Bindings, EnvOverrides, RunStats, Session};
 use crate::{contain, refexec, ExecError, Result};
 use gnnopt_core::fault;
 use gnnopt_core::memplan::{self, Liveness};
@@ -1216,17 +1213,18 @@ impl<'a> Multi<'a> {
             .iter()
             .find(|n| n.kind == OpKind::GradSeed)
             .ok_or_else(|| ExecError::Protocol("plan was compiled for inference".into()))?;
-        let (rows, id, space) = (seed.rows(), seed_node.id, seed_node.space);
-        let _ = rows;
-        let _ = id;
+        let space = seed_node.space;
         for s in 0..self.num_shards() {
+            let sess = &mut self.shards[s];
+            let _scope = sess.scope();
+            // Each shard's seed is built inside its pool scope: a heap
+            // buffer would join the pool when the store drops it, and
+            // the pool would grow by one seed every step.
             let local = match space {
                 Space::Vertex => select_rows_u32(&seed, &self.maps.l2g_vertex[s]),
                 Space::Edge => select_rows_u32(&seed, &self.maps.l2g_edge[s]),
                 Space::Param => seed.clone(),
             };
-            let sess = &mut self.shards[s];
-            let _scope = sess.scope();
             sess.begin_backward(local)?;
         }
         let t0 = Instant::now();
@@ -1692,15 +1690,9 @@ impl<'a> ShardedSessionBuilder<'a> {
     /// [`EnvOverrides::Loud`] — [`ExecError::Policy`] when
     /// `GNNOPT_SHARDS` is not a positive integer.
     pub fn build(self) -> Result<ShardedSession<'a>> {
-        let loud = self.env == EnvOverrides::Loud;
-        let env_shards = if self.env == EnvOverrides::Off {
-            None
-        } else {
-            match shards_env() {
-                Ok(v) => v,
-                Err(e) if loud => return Err(ExecError::Policy(e)),
-                Err(_) => None,
-            }
+        let env_shards = match self.env {
+            EnvOverrides::Loud => shards_env().map_err(ExecError::Policy)?,
+            EnvOverrides::Off => None,
         };
         let k = self
             .shards
@@ -1725,33 +1717,7 @@ impl<'a> ShardedSessionBuilder<'a> {
 
         // Resolve policy / fused / arena exactly like SessionBuilder.
         let mut policy = self.policy.unwrap_or(self.plan.exec);
-        let mut env_fused = None;
-        let mut env_arena = None;
-        if self.env != EnvOverrides::Off {
-            fn apply<T>(
-                r: std::result::Result<Option<T>, String>,
-                loud: bool,
-            ) -> Result<Option<T>> {
-                match r {
-                    Ok(v) => Ok(v),
-                    Err(e) if loud => Err(ExecError::Policy(e)),
-                    Err(_) => Ok(None),
-                }
-            }
-            if loud && policy.is_auto() {
-                gnnopt_tensor::parallel::env_threads().map_err(ExecError::Policy)?;
-            }
-            env_fused = apply(fused_env(), loud)?;
-            env_arena = apply(arena_env(), loud)?;
-            policy.reorder = apply(reorder_env(), loud)?.unwrap_or(policy.reorder);
-            policy.gemm = apply(gemm_env(), loud)?.unwrap_or(policy.gemm);
-            policy.guard = apply(guard_env(), loud)?.unwrap_or(policy.guard);
-            match fault::install_from_env() {
-                Ok(_) => {}
-                Err(e) if loud => return Err(ExecError::Policy(e)),
-                Err(_) => {}
-            }
-        }
+        let (env_fused, env_arena) = apply_env(&mut policy, self.env)?;
         self.graph.validate().map_err(ExecError::Graph)?;
         let fused = self.fused.or(env_fused).unwrap_or(policy.fused);
         policy.fused = fused;
@@ -2151,6 +2117,49 @@ mod tests {
             g.num_vertices()
         );
         assert!(sums.iter().all(|x| x.arena_bytes > 0));
+    }
+
+    /// Warmed sharded `forward` + `backward` rounds leave every shard's
+    /// pool as they found it: the caller's seed is split into pooled
+    /// per-shard copies, never parked in a shard pool.
+    #[test]
+    fn warmed_sharded_rounds_hold_every_shard_pool_steady() {
+        let g = Graph::from_edge_list(&generators::rmat(5, 5, 0.55, 0.2, 0.2, 5));
+        let plan = compile(&gcn_ir(3), true, &CompileOptions::ours())
+            .unwrap()
+            .plan;
+        let mut bindings = Bindings::new();
+        bindings.insert("h", Tensor::ones(&[g.num_vertices(), 3]));
+        bindings.insert("w1", Tensor::ones(&[3, 3]));
+        bindings.insert("w2", Tensor::ones(&[3, 3]));
+        for fused in [false, true] {
+            let mut s = ShardedSession::builder(&plan, &g)
+                .shards(2)
+                .policy(ExecPolicy::serial())
+                .fused(fused)
+                .env(EnvOverrides::Off)
+                .build()
+                .unwrap();
+            let resident = |s: &ShardedSession<'_>| -> Vec<usize> {
+                match &s.inner {
+                    Inner::Multi(m) => m.shards.iter().map(|x| x.pool().resident_bytes()).collect(),
+                    Inner::Single(_) => panic!("two shards build the sharded driver"),
+                }
+            };
+            let mut warmed = None;
+            for round in 0..4 {
+                s.forward(&bindings).unwrap();
+                s.backward(Tensor::ones(&[g.num_vertices(), 3])).unwrap();
+                if round > 0 {
+                    let now = resident(&s);
+                    assert_eq!(
+                        warmed.get_or_insert_with(|| now.clone()),
+                        &now,
+                        "a shard pool grew in warmed round {round} (fused={fused})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

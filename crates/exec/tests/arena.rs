@@ -201,3 +201,57 @@ fn measured_peak_never_exceeds_planned() {
         }
     }
 }
+
+/// Warmed `forward` + `backward` rounds draw every buffer from the
+/// session pool and leave it as they found it: the output and gradient
+/// clones handed to the caller must not be taken from it (the caller
+/// drops them outside the pool's scope, so the next round's takes
+/// would miss), and the caller's seed must not be parked in it (the
+/// pool would grow by one seed every round).
+#[test]
+fn warmed_forward_backward_neither_miss_nor_grow_the_pool() {
+    let g = Graph::from_edge_list(&generators::erdos_renyi(96, 960, 5));
+    for (name, spec) in zoo() {
+        if !matches!(name, "gat" | "gcn" | "sage-pool") {
+            continue;
+        }
+        let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+        let b = bindings(&spec, &g, 21);
+        for (fused, threads) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+            let policy = ExecPolicy {
+                threads,
+                parallel_threshold: 0,
+                ..ExecPolicy::serial()
+            };
+            let mut sess = Session::builder(&compiled.plan, &g)
+                .policy(policy)
+                .fused(fused)
+                .arena(true)
+                .env(EnvOverrides::Off)
+                .build()
+                .unwrap();
+            let mut warmed_resident = None;
+            for round in 0..4 {
+                let out = sess.forward(&b).unwrap();
+                let forward_misses = sess.stats().fallback_allocs;
+                sess.backward(Tensor::ones(out[0].shape())).unwrap();
+                let step_misses = sess.stats().fallback_allocs;
+                let resident = sess.pool().resident_bytes();
+                // Round 0 warms the pool; every later round is steady.
+                if round > 0 {
+                    assert_eq!(
+                        (forward_misses, step_misses),
+                        (0, 0),
+                        "{name}: warmed round {round} fell back to the heap \
+                         (fused={fused}, threads={threads})"
+                    );
+                    assert_eq!(
+                        *warmed_resident.get_or_insert(resident),
+                        resident,
+                        "{name}: pool grew in warmed round {round} (fused={fused}, threads={threads})"
+                    );
+                }
+            }
+        }
+    }
+}

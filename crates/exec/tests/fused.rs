@@ -136,7 +136,7 @@ proptest! {
     }
 }
 
-/// `GNNOPT_FUSED` must reject garbage loudly in `Session::new` (the same
+/// `GNNOPT_FUSED` must reject garbage loudly in the builder (the same
 /// contract as `GNNOPT_THREADS`). Uses a throwaway process-global env var
 /// write, restored immediately — the suite's other tests never read it
 /// mid-flight because this test is the only one touching it.

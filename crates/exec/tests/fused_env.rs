@@ -1,16 +1,14 @@
 //! The `GNNOPT_FUSED` contract across the builder's [`EnvOverrides`]
 //! modes, isolated in its own test binary: `std::env::set_var` races
 //! `getenv` from *any* concurrent thread (glibc UB), and the executor
-//! reads the environment on every loud/ignore session build — so the
-//! one test that writes the variable runs alone in its process.
+//! reads the environment on every loud session build — so the one test
+//! that writes the variable runs alone in its process.
 //!
-//! This pins the historically *divergent* semantics as an explicit
-//! choice: `Session::new` (= `EnvOverrides::Loud`) errors on an invalid
-//! value, while `Session::with_policy` (lenient, like thread
-//! auto-detection) silently falls back to the plan's default — now
-//! spelled `EnvOverrides::Ignore`.
+//! `EnvOverrides::Loud` errors on an invalid value and applies a valid
+//! one; `EnvOverrides::Off` consults neither; an explicit `.fused(..)`
+//! pin outranks the override.
 
-use gnnopt_core::{compile, CompileOptions, ExecPolicy};
+use gnnopt_core::{compile, CompileOptions};
 use gnnopt_exec::{EnvOverrides, ExecError, Session};
 use gnnopt_graph::{EdgeList, Graph};
 use gnnopt_models::{gcn, GcnConfig};
@@ -32,21 +30,13 @@ fn gnnopt_fused_env_contract() {
 
     std::env::set_var("GNNOPT_FUSED", "maybe");
     let loud = Session::builder(plan, &graph).build().map(|s| s.fused());
-    // Deliberately exercises the deprecated shim: this test pins its
-    // lenient env contract until the shim is removed.
-    #[allow(deprecated)]
-    let lenient = Session::with_policy(plan, &graph, ExecPolicy::serial()).map(|s| s.fused());
-    let ignore = Session::builder(plan, &graph)
-        .env(EnvOverrides::Ignore)
+    let off_invalid = Session::builder(plan, &graph)
+        .env(EnvOverrides::Off)
         .build()
         .map(|s| s.fused());
 
     std::env::set_var("GNNOPT_FUSED", "0");
     let loud_off = Session::builder(plan, &graph).build().map(|s| s.fused());
-    let ignore_off = Session::builder(plan, &graph)
-        .env(EnvOverrides::Ignore)
-        .build()
-        .map(|s| s.fused());
     let env_off = Session::builder(plan, &graph)
         .env(EnvOverrides::Off)
         .build()
@@ -68,16 +58,11 @@ fn gnnopt_fused_env_contract() {
         other => panic!("expected a policy error, got {other:?}"),
     }
     assert!(
-        lenient.expect("lenient session builds"),
-        "with_policy swallows the invalid override and keeps the plan default"
-    );
-    assert!(
-        ignore.expect("ignore session builds"),
-        "EnvOverrides::Ignore skips the invalid value silently"
+        off_invalid.expect("off session builds"),
+        "EnvOverrides::Off never reads the invalid value: the plan default stands"
     );
 
     assert!(!loud_off.expect("loud session builds"));
-    assert!(!ignore_off.expect("ignore session builds"));
     assert!(
         env_off.expect("off session builds"),
         "EnvOverrides::Off consults no override: the policy's choice stands"

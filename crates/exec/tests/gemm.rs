@@ -1,16 +1,13 @@
-//! Determinism contract of the GEMM engine at the session level: a full
-//! GNN training step produces **bit-identical** forward outputs *and*
-//! parameter gradients whether the `Linear`-family kernels run on the
-//! naive reference loops or the register-tiled blocked engine — blocking
-//! changes where operands live, never what arithmetic is performed. The
-//! fused tiled interpreter stays bit-identical to the reference path with
-//! the blocked engine pinned (the `GNNOPT_GEMM=blocked` rerun of the
-//! fused equivalence contract).
+//! The blocked GEMM engine at the session level: a GAT training step on
+//! the fused tiled interpreter is bit-identical to the reference path,
+//! forward outputs and parameter gradients alike, for any thread count
+//! and tile budget. The engine's own bit-identity to the naive loops is
+//! checked in `gnnopt-tensor` (`gemm::tests` and `tests/properties.rs`).
 
-use gnnopt_core::{compile, CompileOptions, ExecPolicy, GemmKernel};
+use gnnopt_core::{compile, CompileOptions, ExecPolicy};
 use gnnopt_exec::{Bindings, EnvOverrides, Session};
 use gnnopt_graph::{EdgeList, Graph};
-use gnnopt_models::{gat, gcn, GatConfig, GcnConfig, ModelSpec};
+use gnnopt_models::{gat, GatConfig, ModelSpec};
 use gnnopt_tensor::Tensor;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -58,74 +55,12 @@ fn step(
     (out, grads)
 }
 
-/// Runs a step under both GEMM kernels (same threads, same fused choice)
-/// and demands bitwise-equal outputs and gradients.
-fn compare_kernels(spec: &ModelSpec, graph: &Graph, threads: usize, fused: bool) {
-    let vals = spec.init_values(graph, 31);
-    let base = ExecPolicy {
-        threads,
-        parallel_threshold: 0,
-        ..ExecPolicy::serial()
-    };
-    let naive = step(spec, graph, &vals, base.with_gemm(GemmKernel::Naive), fused);
-    let blocked = step(
-        spec,
-        graph,
-        &vals,
-        base.with_gemm(GemmKernel::Blocked),
-        fused,
-    );
-    assert_eq!(naive.0.len(), blocked.0.len());
-    for (a, b) in naive.0.iter().zip(&blocked.0) {
-        assert_bit_identical("output", a, b);
-    }
-    assert_eq!(naive.1.len(), blocked.1.len());
-    for (k, g) in &naive.1 {
-        assert_bit_identical(&format!("grad '{k}'"), g, &blocked.1[k]);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// GAT training (attention softmax, multi-head linear projections,
-    /// `matmul_tn` weight grads) over random graphs: bit-identical
-    /// naive-vs-blocked for every thread count, on both the reference
-    /// and the fused executor.
-    #[test]
-    fn gat_step_is_bit_identical_across_gemm_kernels(
-        g in arb_graph(),
-        threads in 1usize..5,
-        fused in 0usize..2,
-        heads in 1usize..3,
-    ) {
-        let spec = gat(&GatConfig {
-            in_dim: 5,
-            layers: vec![(heads, 4), (1, 3)],
-            negative_slope: 0.2,
-            reorganized: false,
-        }).expect("gat builds");
-        compare_kernels(&spec, &g, threads, fused == 1);
-    }
-
-    /// GCN training (the plainest Linear → gather pipeline, ReLU zeros
-    /// feeding the zero-skip decision) over random graphs.
-    #[test]
-    fn gcn_step_is_bit_identical_across_gemm_kernels(
-        g in arb_graph(),
-        threads in 1usize..5,
-        fused in 0usize..2,
-    ) {
-        let spec = gcn(&GcnConfig {
-            in_dim: 6,
-            layer_dims: vec![5, 3],
-        }).expect("gcn builds");
-        compare_kernels(&spec, &g, threads, fused == 1);
-    }
-
-    /// The fused-vs-reference bit-identity contract of PR 3, rerun with
-    /// the blocked engine pinned on both sides: the compute-engine swap
-    /// must not open any gap between the two execution paths.
+    /// The fused-vs-reference bit-identity contract with both sides on
+    /// the blocked engine: the GEMMs must not open any gap between the
+    /// two execution paths.
     #[test]
     fn fused_matches_reference_under_blocked_gemm(
         g in arb_graph(),
@@ -144,7 +79,7 @@ proptest! {
             parallel_threshold: 0,
             tile_edges,
             ..ExecPolicy::serial()
-        }.with_gemm(GemmKernel::Blocked);
+        };
         let reference = step(&spec, &g, &vals, policy, false);
         let fused = step(&spec, &g, &vals, policy, true);
         for (a, b) in reference.0.iter().zip(&fused.0) {

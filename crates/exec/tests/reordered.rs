@@ -150,37 +150,4 @@ proptest! {
         let spec = gcn(&GcnConfig { in_dim: 4, layer_dims: vec![4, 2] }).expect("gcn builds");
         compare_matrix(&spec, &g);
     }
-
-    /// Grouped worker binding is a pure scheduling choice: fused
-    /// execution with `group_workers` is bit-identical to the reference,
-    /// gradients included, for any thread count and tile budget.
-    #[test]
-    fn grouped_workers_are_bit_identical(
-        g in arb_graph(),
-        threads in 1usize..6,
-        tile_edges in prop_oneof![Just(1usize), Just(8), Just(4096)],
-    ) {
-        let spec = gat(&GatConfig {
-            in_dim: 5,
-            layers: vec![(2, 4)],
-            negative_slope: 0.2,
-            reorganized: false,
-        }).expect("gat builds");
-        let vals = spec.init_values(&g, 31);
-        let (ref_out, ref_grads, _) = step(&spec, &g, &vals, ExecPolicy::serial(), false);
-        let policy = ExecPolicy {
-            threads,
-            parallel_threshold: 0,
-            tile_edges,
-            ..ExecPolicy::serial()
-        }
-        .grouped();
-        let (out, grads, _) = step(&spec, &g, &vals, policy, true);
-        for (a, b) in ref_out.iter().zip(&out) {
-            prop_assert_eq!(bits(a), bits(b), "grouped fused output differs");
-        }
-        for (k, gr) in &ref_grads {
-            prop_assert_eq!(bits(gr), bits(&grads[k]), "grouped fused grad '{}' differs", k);
-        }
-    }
 }

@@ -25,14 +25,12 @@
 //! `reorder_ablation` bench binary reports the trade-off on the paper's
 //! datasets.
 //!
-//! Both techniques run **on real hardware** through `gnnopt-exec`: a
+//! Reordering also runs **on real hardware** through `gnnopt-exec`: a
 //! session whose `ExecPolicy` names a `ReorderPolicy` (or the
 //! `GNNOPT_REORDER` override) relabels its CSR graph once at build via
 //! [`Permutation::apply_to_graph`] — a *stable* permutation that keeps
 //! per-destination reduction order, so results match the identity
-//! ordering — and the fused interpreter can bind workers to bounded
-//! edge groups (`ExecPolicy::group_workers`), realizing the
-//! neighbor-grouping load-balance on CPU workers.
+//! ordering.
 //!
 //! ```
 //! use gnnopt_graph::{generators, Graph};

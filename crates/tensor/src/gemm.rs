@@ -31,18 +31,15 @@
 //! tests. Results are therefore **bit-identical** across kernels, thread
 //! counts and tile boundaries (property-tested in `tests/properties.rs`).
 //!
-//! # Selection
+//! # Engines
 //!
-//! [`GemmKernel::from_env`] reads the `GNNOPT_GEMM` environment variable
-//! (`naive` | `blocked`, default blocked); `gnnopt-exec` threads the
-//! choice through `ExecPolicy` so sessions pin it explicitly, and
-//! `Session::new` surfaces an invalid value as a loud policy error (same
-//! contract as `GNNOPT_FUSED`).
+//! Every product in the workspace (`Tensor::matmul`, `matmul_tn`,
+//! `matmul_nt`, and through them every `Linear`-family kernel a session
+//! runs) uses the blocked engine. The naive loops are reachable only by
+//! passing [`GemmKernel::Naive`] to [`gemm`]: they are the reference the
+//! bit-identity tests compare against, not a runtime mode.
 
 use crate::parallel::{available_threads, chunk_bounds as split_bounds};
-
-/// Environment variable selecting the GEMM kernel (`naive` | `blocked`).
-pub const GEMM_ENV_VAR: &str = "GNNOPT_GEMM";
 
 /// Register-tile height of the portable microkernel: rows of `C` held in
 /// registers.
@@ -71,61 +68,17 @@ const MC: usize = 96;
 /// widths).
 const NC: usize = 256;
 
-/// Which dense kernel executes `matmul` / `matmul_tn` / `matmul_nt`.
+/// Which dense kernel [`gemm`] runs.
 ///
-/// Both kernels produce **bit-identical** results (see the module docs);
-/// the choice only trades speed. `Blocked` is the default everywhere;
-/// `Naive` remains as the reference the equivalence suites pin against
-/// and as the `GNNOPT_GEMM=naive` escape hatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Both kernels produce **bit-identical** results (see the module docs).
+/// `Blocked` is what every `Tensor` product uses; `Naive` is the
+/// reference the equivalence suites compare it against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
     /// The reference `ikj` loop (scalar row updates, no packing).
     Naive,
     /// Packed panels + `MR × NR` register-tiled microkernel.
-    #[default]
     Blocked,
-}
-
-impl GemmKernel {
-    /// Parses the `GNNOPT_GEMM` spelling of a kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the valid spellings on
-    /// anything other than `naive` / `blocked`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "naive" => Ok(Self::Naive),
-            "blocked" => Ok(Self::Blocked),
-            other => Err(format!(
-                "unknown GEMM kernel '{other}' (expected naive|blocked)"
-            )),
-        }
-    }
-
-    /// Reads the `GNNOPT_GEMM` override. Returns `Ok(None)` when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`GemmKernel::parse`] error when the variable is set
-    /// to an unknown spelling. Infallible callers
-    /// ([`GemmKernel::from_env`]) fall back to the default; `gnnopt-exec`
-    /// surfaces it as a session policy error.
-    pub fn env() -> Result<Option<Self>, String> {
-        match std::env::var(GEMM_ENV_VAR) {
-            Ok(raw) => Self::parse(&raw)
-                .map(Some)
-                .map_err(|e| format!("{GEMM_ENV_VAR}: {e}")),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// The kernel `Tensor::matmul` (and friends) use when no explicit
-    /// choice is plumbed in: the `GNNOPT_GEMM` override when valid, else
-    /// [`GemmKernel::Blocked`].
-    pub fn from_env() -> Self {
-        Self::env().ok().flatten().unwrap_or_default()
-    }
 }
 
 /// Operand layout of a product `C[m,n] = A' · B'`.
@@ -777,6 +730,20 @@ mod tests {
             .collect()
     }
 
+    /// Row-major `[rows, cols]` → row-major `[cols, rows]`.
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0f32; x.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+        t
+    }
+
+    /// Both kernels, every layout, with and without zero skipping, match
+    /// the plain loop bit for bit — including the shapes that span more
+    /// than one `KC`, `MC` or `NC` block and ragged register tiles.
     #[test]
     fn blocked_matches_reference_on_ragged_shapes() {
         for &(m, k, n) in &[
@@ -789,24 +756,34 @@ mod tests {
             (2 * MR + 3, KC + 5, 2 * NR + 7),
             (MC + MR + 1, 17, NC + NR + 2),
         ] {
-            let a = fill(m * k, 1);
+            let mut a = fill(m * k, 1);
+            // Post-ReLU-style zeros give the skip path work to do.
+            for v in a.iter_mut().step_by(3) {
+                *v = 0.0;
+            }
             let b = fill(k * n, 2);
             let want = reference(&a, &b, m, k, n);
-            for threads in [1usize, 3] {
-                let mut out = vec![0.0f32; m * n];
-                gemm(
-                    GemmKernel::Blocked,
-                    Layout::Nn,
-                    &a,
-                    &b,
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                    threads,
-                    false,
-                );
-                assert_eq!(out, want, "Nn m={m} k={k} n={n} threads={threads}");
+            let (at, bt) = (transposed(&a, m, k), transposed(&b, k, n));
+            for (layout, lhs, rhs) in [
+                (Layout::Nn, &a, &b),
+                (Layout::Tn, &at, &b),
+                (Layout::Nt, &a, &bt),
+            ] {
+                for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
+                    for skip in [false, true] {
+                        for threads in [1usize, 3] {
+                            let mut out = vec![0.0f32; m * n];
+                            gemm(kernel, layout, lhs, rhs, &mut out, m, k, n, threads, skip);
+                            assert!(
+                                out.iter()
+                                    .zip(&want)
+                                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                                "{layout:?} {kernel:?} skip={skip} m={m} k={k} n={n} \
+                                 threads={threads}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -873,15 +850,6 @@ mod tests {
                 assert!(max < 1e-4, "Nt {kernel:?} t={threads}: {max}");
             }
         }
-    }
-
-    #[test]
-    fn kernel_parse_and_env_spellings() {
-        assert_eq!(GemmKernel::parse("naive"), Ok(GemmKernel::Naive));
-        assert_eq!(GemmKernel::parse(" Blocked "), Ok(GemmKernel::Blocked));
-        let err = GemmKernel::parse("turbo").unwrap_err();
-        assert!(err.contains("turbo") && err.contains("blocked"));
-        assert_eq!(GemmKernel::default(), GemmKernel::Blocked);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod rowops;
 mod tensor;
 
 pub use error::TensorError;
-pub use gemm::GemmKernel;
 pub use init::XavierInit;
 pub use tensor::Tensor;
 

@@ -1,13 +1,12 @@
 //! Matrix multiplication and transposition.
 //!
-//! All three dense products (`matmul`, `matmul_tn`, `matmul_nt`) route
-//! through the shared engine in [`crate::gemm`]: a [`GemmKernel`]
-//! selects the register-tiled blocked kernel (the default) or the naive
-//! reference loops, and the work is partitioned over `std::thread::scope`
-//! workers (pool size from [`crate::parallel::available_threads`], shared
-//! with the `gnnopt-exec` graph kernels) above a work threshold. Both
-//! kernels and every thread count produce **bit-identical** results; see
-//! the [`crate::gemm`] module docs for why.
+//! All three dense products (`matmul`, `matmul_tn`, `matmul_nt`) run
+//! the register-tiled blocked kernel of [`crate::gemm`], partitioned over
+//! `std::thread::scope` workers (pool size from
+//! [`crate::parallel::available_threads`], shared with the `gnnopt-exec`
+//! graph kernels) above a work threshold. Every thread count produces
+//! **bit-identical** results, equal to the naive reference loops; see the
+//! [`crate::gemm`] module docs for why.
 
 use crate::gemm::{gemm, pinned_threads, GemmKernel, Layout};
 use crate::{Result, Tensor, TensorError};
@@ -35,44 +34,27 @@ fn skip_zero_rows(a: &[f32], b: &[f32]) -> bool {
 }
 
 impl Tensor {
-    /// Dense matrix product `self[m,k] × other[k,n] → [m,n]` under the
-    /// process-default kernel ([`GemmKernel::from_env`], i.e. the
-    /// `GNNOPT_GEMM` override or the blocked engine).
+    /// Dense matrix product `self[m,k] × other[k,n] → [m,n]`, auto
+    /// worker count.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `self.cols() ==
     /// other.rows()`.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_with(other, GemmKernel::from_env())
+        self.matmul_with_threads(other, 0)
     }
 
-    /// [`Tensor::matmul`] under an explicit [`GemmKernel`], auto worker
-    /// count.
+    /// [`Tensor::matmul`] under an explicit worker cap (how sessions pin
+    /// their resolved `ExecPolicy::threads`; `0` = auto). The cap never
+    /// changes results — partitions are accumulation-free — only how
+    /// wide the work runs.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `self.cols() ==
     /// other.rows()`.
-    pub fn matmul_with(&self, other: &Tensor, kernel: GemmKernel) -> Result<Tensor> {
-        self.matmul_with_threads(other, kernel, 0)
-    }
-
-    /// [`Tensor::matmul`] under an explicit [`GemmKernel`] and worker cap
-    /// (how sessions pin both the engine and their resolved
-    /// `ExecPolicy::threads`; `0` = auto). The cap never changes results
-    /// — partitions are accumulation-free — only how wide the work runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless `self.cols() ==
-    /// other.rows()`.
-    pub fn matmul_with_threads(
-        &self,
-        other: &Tensor,
-        kernel: GemmKernel,
-        threads: usize,
-    ) -> Result<Tensor> {
+    pub fn matmul_with_threads(&self, other: &Tensor, threads: usize) -> Result<Tensor> {
         let (m, k) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         if k != k2 {
@@ -85,7 +67,7 @@ impl Tensor {
         let mut out = Tensor::zeros(&[m, n]);
         let skip = skip_zero_rows(self.as_slice(), other.as_slice());
         gemm(
-            kernel,
+            GemmKernel::Blocked,
             Layout::Nn,
             self.as_slice(),
             other.as_slice(),
@@ -112,31 +94,16 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless row counts match.
     pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_tn_with(other, GemmKernel::from_env())
+        self.matmul_tn_with_threads(other, 0)
     }
 
-    /// [`Tensor::matmul_tn`] under an explicit [`GemmKernel`], auto
-    /// worker count.
+    /// [`Tensor::matmul_tn`] under an explicit worker cap (`0` = auto;
+    /// see [`Tensor::matmul_with_threads`]).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless row counts match.
-    pub fn matmul_tn_with(&self, other: &Tensor, kernel: GemmKernel) -> Result<Tensor> {
-        self.matmul_tn_with_threads(other, kernel, 0)
-    }
-
-    /// [`Tensor::matmul_tn`] under an explicit [`GemmKernel`] and worker
-    /// cap (`0` = auto; see [`Tensor::matmul_with_threads`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless row counts match.
-    pub fn matmul_tn_with_threads(
-        &self,
-        other: &Tensor,
-        kernel: GemmKernel,
-        threads: usize,
-    ) -> Result<Tensor> {
+    pub fn matmul_tn_with_threads(&self, other: &Tensor, threads: usize) -> Result<Tensor> {
         let (k, m) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         if k != k2 {
@@ -151,7 +118,7 @@ impl Tensor {
         // is only exact when the multiplied-in rows are finite.
         let skip = skip_zero_rows(self.as_slice(), other.as_slice());
         gemm(
-            kernel,
+            GemmKernel::Blocked,
             Layout::Tn,
             self.as_slice(),
             other.as_slice(),
@@ -174,31 +141,16 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless inner dims match.
     pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_nt_with(other, GemmKernel::from_env())
+        self.matmul_nt_with_threads(other, 0)
     }
 
-    /// [`Tensor::matmul_nt`] under an explicit [`GemmKernel`], auto
-    /// worker count.
+    /// [`Tensor::matmul_nt`] under an explicit worker cap (`0` = auto;
+    /// see [`Tensor::matmul_with_threads`]).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless inner dims match.
-    pub fn matmul_nt_with(&self, other: &Tensor, kernel: GemmKernel) -> Result<Tensor> {
-        self.matmul_nt_with_threads(other, kernel, 0)
-    }
-
-    /// [`Tensor::matmul_nt`] under an explicit [`GemmKernel`] and worker
-    /// cap (`0` = auto; see [`Tensor::matmul_with_threads`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless inner dims match.
-    pub fn matmul_nt_with_threads(
-        &self,
-        other: &Tensor,
-        kernel: GemmKernel,
-        threads: usize,
-    ) -> Result<Tensor> {
+    pub fn matmul_nt_with_threads(&self, other: &Tensor, threads: usize) -> Result<Tensor> {
         let (m, k) = (self.rows(), self.cols());
         let (n, k2) = (other.rows(), other.cols());
         if k != k2 {
@@ -212,7 +164,7 @@ impl Tensor {
         // No zero-skip here: the historical `nt` loop never skipped, and
         // the gradient-propagation path must stay exactly as it was.
         gemm(
-            kernel,
+            GemmKernel::Blocked,
             Layout::Nt,
             self.as_slice(),
             other.as_slice(),
@@ -286,17 +238,30 @@ mod tests {
 
     #[test]
     fn kernels_agree_bitwise_above_the_parallel_threshold() {
-        // Big enough to cross the auto-parallel threshold: the blocked
-        // engine, the naive reference and every partition must agree to
-        // the last bit.
+        // Big enough to cross the auto-parallel threshold: the product
+        // every caller gets, the naive reference and every partition
+        // must agree to the last bit.
         let m = 256;
         let k = 64;
         let n = 128;
         let a = Tensor::from_fn(&[m, k], |i| ((i % 13) as f32) - 6.0);
         let b = Tensor::from_fn(&[k, n], |i| ((i % 7) as f32) * 0.25);
-        let blocked = a.matmul_with(&b, GemmKernel::Blocked).unwrap();
-        let naive = a.matmul_with(&b, GemmKernel::Naive).unwrap();
-        assert_eq!(blocked.as_slice(), naive.as_slice());
+        let blocked = a.matmul(&b).unwrap();
+        let mut naive = vec![0.0f32; m * n];
+        let skip = skip_zero_rows(a.as_slice(), b.as_slice());
+        gemm(
+            GemmKernel::Naive,
+            Layout::Nn,
+            a.as_slice(),
+            b.as_slice(),
+            &mut naive,
+            m,
+            k,
+            n,
+            1,
+            skip,
+        );
+        assert_eq!(blocked.as_slice(), &naive[..]);
     }
 
     #[test]
@@ -304,27 +269,22 @@ mod tests {
         // A zero coefficient multiplied into a NaN/inf operand must yield
         // NaN in the product (IEEE 754), not be skipped: a silently clean
         // output would mask divergence during training. The skip decision
-        // is now gated on the left operand containing zeros at all, so
-        // this is the regression net for both halves of the predicate.
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            let a = Tensor::from_rows(&[&[0.0, 1.0]]).unwrap();
-            let b = Tensor::from_rows(&[&[f32::NAN, f32::INFINITY], &[2.0, 3.0]]).unwrap();
-            let c = a.matmul_with(&b, kernel).unwrap();
-            assert!(c.at(0, 0).is_nan(), "{kernel:?}: 0·NaN must propagate");
-            assert!(c.at(0, 1).is_nan(), "{kernel:?}: 0·inf + finite is NaN");
+        // is gated on the left operand containing zeros at all, so this
+        // is the regression net for both halves of the predicate.
+        let a = Tensor::from_rows(&[&[0.0, 1.0]]).unwrap();
+        let b = Tensor::from_rows(&[&[f32::NAN, f32::INFINITY], &[2.0, 3.0]]).unwrap();
+        let c = a.matmul(&b).unwrap();
+        assert!(c.at(0, 0).is_nan(), "0·NaN must propagate");
+        assert!(c.at(0, 1).is_nan(), "0·inf + finite is NaN");
 
-            let via_tn = a.transpose().matmul_tn_with(&b, kernel).unwrap();
-            assert!(via_tn.at(0, 0).is_nan() && via_tn.at(0, 1).is_nan());
+        let via_tn = a.transpose().matmul_tn(&b).unwrap();
+        assert!(via_tn.at(0, 0).is_nan() && via_tn.at(0, 1).is_nan());
 
-            // With finite operands the skip stays enabled and exact: a
-            // sparse left operand still produces the plain dense product.
-            let sparse = Tensor::from_rows(&[&[0.0, 2.0]]).unwrap();
-            let dense = Tensor::from_rows(&[&[5.0, -1.0], &[0.5, 4.0]]).unwrap();
-            assert_eq!(
-                sparse.matmul_with(&dense, kernel).unwrap().as_slice(),
-                &[1.0, 8.0]
-            );
-        }
+        // With finite operands the skip stays enabled and exact: a
+        // sparse left operand still produces the plain dense product.
+        let sparse = Tensor::from_rows(&[&[0.0, 2.0]]).unwrap();
+        let dense = Tensor::from_rows(&[&[5.0, -1.0], &[0.5, 4.0]]).unwrap();
+        assert_eq!(sparse.matmul(&dense).unwrap().as_slice(), &[1.0, 8.0]);
     }
 
     #[test]
@@ -334,14 +294,9 @@ mod tests {
         // the plain dense accumulation.
         let a = Tensor::from_rows(&[&[1.0, 2.0]]).unwrap();
         let b = Tensor::from_rows(&[&[f32::NAN, 1.0], &[2.0, f32::INFINITY]]).unwrap();
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            let c = a.matmul_with(&b, kernel).unwrap();
-            assert!(c.at(0, 0).is_nan(), "{kernel:?}: NaN operand propagates");
-            assert!(
-                c.at(0, 1).is_infinite(),
-                "{kernel:?}: inf operand propagates"
-            );
-        }
+        let c = a.matmul(&b).unwrap();
+        assert!(c.at(0, 0).is_nan(), "NaN operand propagates");
+        assert!(c.at(0, 1).is_infinite(), "inf operand propagates");
     }
 
     #[test]

@@ -211,9 +211,11 @@ proptest! {
         }
     }
 
-    /// The `Tensor`-level products agree bitwise across kernels on data
-    /// with ReLU-style zero sparsity (the shape of input the zero-gated
-    /// skip decision actually sees in a GNN step).
+    /// The `Tensor`-level products match the naive reference bitwise on
+    /// data with ReLU-style zero sparsity (the shape of input the
+    /// zero-gated skip decision actually sees in a GNN step). With finite
+    /// operands skipping a zero term never changes a bit, so the
+    /// non-skipping reference is the oracle whatever the skip decides.
     #[test]
     fn tensor_products_agree_across_kernels(
         seed in 0u64..1000,
@@ -223,19 +225,12 @@ proptest! {
         let with_zeros = with_zeros == 1;
         let a = Tensor::new(&[m, k], gemm_operand(m * k, seed, with_zeros)).unwrap();
         let b = Tensor::new(&[k, n], gemm_operand(k * n, seed + 5, false)).unwrap();
-        let nn_naive = a.matmul_with(&b, GemmKernel::Naive).unwrap();
-        let nn_blocked = a.matmul_with(&b, GemmKernel::Blocked).unwrap();
-        prop_assert_eq!(nn_naive.as_slice(), nn_blocked.as_slice());
-
-        let at = a.transpose();
-        let tn_naive = at.matmul_tn_with(&b, GemmKernel::Naive).unwrap();
-        let tn_blocked = at.matmul_tn_with(&b, GemmKernel::Blocked).unwrap();
-        prop_assert_eq!(tn_naive.as_slice(), tn_blocked.as_slice());
-        prop_assert_eq!(tn_naive.as_slice(), nn_naive.as_slice());
-
-        let bt = b.transpose();
-        let nt_naive = a.matmul_nt_with(&bt, GemmKernel::Naive).unwrap();
-        let nt_blocked = a.matmul_nt_with(&bt, GemmKernel::Blocked).unwrap();
-        prop_assert_eq!(nt_naive.as_slice(), nt_blocked.as_slice());
+        let want = nn_reference(a.as_slice(), b.as_slice(), m, k, n, false);
+        let nn = a.matmul(&b).unwrap();
+        prop_assert_eq!(nn.as_slice(), &want[..]);
+        let tn = a.transpose().matmul_tn(&b).unwrap();
+        prop_assert_eq!(tn.as_slice(), &want[..]);
+        let nt = a.matmul_nt(&b.transpose()).unwrap();
+        prop_assert_eq!(nt.as_slice(), &want[..]);
     }
 }

@@ -323,8 +323,8 @@ mod tests {
         let first = &reports[0].run;
         // The plan asked for Cluster; a GNNOPT_REORDER env leg may pin a
         // different strategy or switch reordering off entirely (both are
-        // the tested contract of Session::new), so only assert the
-        // session reordered when nothing disabled it.
+        // the tested contract of the session builder), so only assert
+        // the session reordered when nothing disabled it.
         let env_off = matches!(
             std::env::var("GNNOPT_REORDER")
                 .ok()
